@@ -148,8 +148,9 @@ fn call_retry(nic: &VirtualNic, flow: u64, op: &KvOp, attempts: u32) -> Option<K
 struct LoadResult {
     stats: RunStats,
     pause: PauseStats,
-    /// `(rounds, records, pages, bytes)` shipped — zero for single-box.
-    shipped: (u64, u64, u64, u64),
+    /// `(rounds, records, pages, bytes, pages read)` shipped — zero for
+    /// single-box.
+    shipped: (u64, u64, u64, u64, u64),
 }
 
 /// One load configuration: boot, deploy, optionally cluster, load.
@@ -174,9 +175,10 @@ fn run_load(opts: &BenchOpts, ro: &ReplOpts, with_cluster: bool) -> LoadResult {
             snap.repl_records_shipped,
             snap.repl_pages_shipped,
             snap.repl_bytes_shipped,
+            snap.repl_pages_read,
         )
     } else {
-        (0, 0, 0, 0)
+        (0, 0, 0, 0, 0)
     };
     sys.stop();
     if let Some(c) = cluster {
@@ -356,6 +358,7 @@ fn main() {
         "ShippedRounds",
         "ShippedPages",
         "ShippedKiB",
+        "PagesRead",
     ]);
     for (name, r) in [("single-box", &single), ("cluster-q2", &cluster)] {
         load.row(vec![
@@ -369,6 +372,7 @@ fn main() {
             r.shipped.0.to_string(),
             r.shipped.2.to_string(),
             format!("{:.1}", r.shipped.3 as f64 / 1024.0),
+            r.shipped.4.to_string(),
         ]);
     }
     sink.table("load", load);

@@ -89,7 +89,7 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
             Some(d) => {
                 treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "hybrid.pre_migrate_in");
                 let home = meta.pairs[1].expect("non-migrated page has a home frame").frame;
-                kernel.pers.dev.copy_to_dram(home, &kernel.dram, d);
+                let crc = kernel.pers.dev.copy_to_dram(home, &kernel.dram, d);
                 meta.runtime_dram = Some(d);
                 // "TreeSLS sets the version of the runtime page in NVM ...
                 // so that it becomes the latest backup page" (§4.3.3): the
@@ -97,7 +97,6 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
                 // tagged with the in-flight version — valid once this
                 // checkpoint commits, ignored (in favour of the CoW backup
                 // in pairs[0]) if the crash precedes the commit.
-                let crc = kernel.pers.dev.page_crc(home);
                 meta.pairs[1] = Some(PagePtr::backup(home, inflight, crc));
                 meta.writable = true;
                 meta.dirty = false;
@@ -138,8 +137,7 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
         };
         let d = meta.runtime_dram.expect("migrated page has a DRAM copy");
         treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "hybrid.pre_sac_copy");
-        kernel.pers.dev.copy_from_dram(&kernel.dram, d, frame);
-        let crc = kernel.pers.dev.page_crc(frame);
+        let crc = kernel.pers.dev.copy_from_dram(&kernel.dram, d, frame);
         meta.pairs[dst_idx] = Some(PagePtr::backup(frame, inflight, crc));
         meta.dirty = false;
         meta.idle_rounds = 0;
@@ -173,7 +171,8 @@ pub fn process_slot(kernel: &Kernel, slot: &Arc<PageSlot>, inflight: u64, counte
                 // checkpoint commits: it must be durable before the tag
                 // flips, or an ADR crash before that commit drops its
                 // unfenced lines and restore serves a torn page (no-op
-                // under eADR).
+                // under eADR). The whole frame: a chunk the diff copy
+                // skipped may still be pending from an earlier store.
                 kernel.pers.dev.flush_frame(frame, 0, treesls_nvm::PAGE_SIZE);
                 kernel.pers.dev.fence();
                 meta.pairs[1] = Some(PagePtr::runtime(frame));

@@ -833,47 +833,75 @@ fn full_walk(
     // The dirty queue is deliberately *not* drained: a full walk consumes
     // every dirty flag, so queued entries become stale O(1) skips on the
     // next dirty round.
+    //
+    // The walk follows two edge sets. Runtime edges keep everything the
+    // live system reaches alive. Newest-record edges define the reference
+    // counts — they are exactly what the dirty walk's deltas subtract when
+    // it next rewrites a record — and keep alive every ORoot a record of
+    // this image names. The two differ when a mutator changes an object
+    // between reading its children and building its record (mutators run
+    // through the walk: a server thread blocking on its doorbell adds an
+    // edge). A count taken from runtime edges can then fall one short of
+    // the records, a later delta would tombstone an object a live record
+    // still names, and restore would find the reference dangling.
+    enum Visit {
+        Object(Arc<KObject>),
+        /// An ORoot named by a record whose runtime object is gone.
+        Record(OrootId),
+    }
+    let backups = &kernel.pers.backups;
     let mut counts: HashMap<OrootId, u32> = HashMap::new();
     let mut visited: Vec<OrootId> = Vec::new();
-    let mut stack = vec![root_obj];
-    while let Some(obj) = stack.pop() {
-        let oroot = ensure_oroot(oroots, &obj);
-        let fresh = oroots
-            .with_mut(oroot, |r| {
-                if r.ckpt_round == inflight {
-                    false
-                } else {
-                    r.ckpt_round = inflight;
-                    // An object can reappear (e.g. a capability re-granted
-                    // before its deletion committed); resurrect it.
-                    r.deleted_at = None;
-                    true
-                }
-            })
-            .expect("just ensured");
-        if !fresh {
+    let mut stack = vec![Visit::Object(root_obj)];
+    while let Some(visit) = stack.pop() {
+        let (oroot, obj) = match visit {
+            Visit::Object(obj) => (ensure_oroot(oroots, &obj), Some(obj)),
+            Visit::Record(id) => (id, None),
+        };
+        let fresh = oroots.with_mut(oroot, |r| {
+            if r.ckpt_round == inflight {
+                false
+            } else {
+                r.ckpt_round = inflight;
+                // An object can reappear (e.g. a capability re-granted
+                // before its deletion committed); resurrect it.
+                r.deleted_at = None;
+                true
+            }
+        });
+        if fresh != Some(true) {
             continue;
         }
         visited.push(oroot);
-        for child in children(&obj) {
-            if let Ok(c) = kernel.object(child) {
-                *counts.entry(ensure_oroot(oroots, &c)).or_default() += 1;
-                stack.push(c);
+        if let Some(obj) = obj {
+            for child in children(&obj) {
+                if let Ok(c) = kernel.object(child) {
+                    stack.push(Visit::Object(c));
+                }
+            }
+            let dirty = obj.take_dirty();
+            let never_backed =
+                oroots.with(oroot, |r| r.backups.iter().all(Option::is_none)).expect("live oroot");
+            if obj.otype == ObjType::Pmo || dirty || never_backed || copy_all {
+                copy_object(kernel, &obj, oroot, inflight, None, &mut out)?;
+            } else {
+                out.skipped += 1;
             }
         }
-        let dirty = obj.take_dirty();
-        let never_backed =
-            oroots.with(oroot, |r| r.backups.iter().all(Option::is_none)).expect("live oroot");
-        if obj.otype == ObjType::Pmo || dirty || never_backed || copy_all {
-            copy_object(kernel, &obj, oroot, inflight, None, &mut out)?;
-        } else {
-            out.skipped += 1;
+        for e in newest_edges(oroots, backups, oroot) {
+            *counts.entry(e).or_default() += 1;
+            let live = oroots
+                .with(e, |r| r.runtime)
+                .flatten()
+                .and_then(|id| kernel.object(id).ok())
+                .filter(|c| c.oroot() == Some(e));
+            stack.push(live.map_or(Visit::Record(e), Visit::Object));
         }
     }
 
-    // Reference counts are rebuilt from scratch: runtime edges equal
-    // newest-record edges for every visited object (clean records mirror
-    // the runtime; dirty ones were just rewritten).
+    // Reference counts are rebuilt from scratch from the newest record of
+    // every visited ORoot (clean records mirror the runtime; dirty ones
+    // were just rewritten).
     treesls_nvm::crash_site!(kernel.pers.dev.crash_schedule(), "tree.pre_epoch_apply");
     for id in visited {
         let n = counts.get(&id).copied().unwrap_or(0);

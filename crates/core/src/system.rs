@@ -193,6 +193,8 @@ impl System {
         snap.nvm_bytes_written = nvm.bytes_written;
         snap.nvm_bytes_read = nvm.bytes_read;
         snap.nvm_page_copies = nvm.page_copies;
+        snap.nvm_chunks_stored = nvm.chunks_stored;
+        snap.nvm_chunks_skipped = nvm.chunks_skipped;
         snap.journal_high_water = self.kernel.pers.alloc.journal_high_water();
         snap.journal_truncated = self.kernel.pers.alloc.journal_truncated();
         snap

@@ -390,9 +390,8 @@ impl Kernel {
         let d = meta.runtime_dram.expect("epoch capture is for migrated pages");
         treesls_nvm::crash_site!(self.pers.dev.crash_schedule(), "stw.clean_core_cow");
         let tc = Instant::now();
-        self.pers.dev.copy_from_dram(&self.dram, d, frame);
+        let crc = self.pers.dev.copy_from_dram(&self.dram, d, frame);
         self.stats.memcpy_ns.fetch_add(tc.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let crc = self.pers.dev.page_crc(frame);
         meta.pairs[dst] = Some(PagePtr::backup(frame, inflight, crc));
         meta.epoch_round = self.fence.round();
         self.stats.epoch_conflicts.fetch_add(1, Ordering::Relaxed);
@@ -693,16 +692,17 @@ impl Kernel {
             None => self.pers.alloc.alloc_page()?,
         };
         let tc = Instant::now();
-        self.pers.dev.copy_frame(runtime, dst);
+        let crc = self.pers.dev.copy_frame(runtime, dst);
         // Ordering point (ADR): the duplicate is the only version-N
         // image once the triggering store lands on the runtime page,
-        // so it must be durable *before* this fault returns. A no-op
-        // under eADR.
+        // so it must be durable *before* this fault returns. The flush
+        // covers the whole frame, not just the chunks the diff copy
+        // stored: a skipped chunk may still be pending from an earlier
+        // store. A no-op under eADR.
         self.pers.dev.flush_frame(dst, 0, treesls_nvm::PAGE_SIZE);
         self.pers.dev.fence();
         self.stats.memcpy_ns.fetch_add(tc.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.stats.cow_copies.fetch_add(1, Ordering::Relaxed);
-        let crc = self.pers.dev.page_crc(dst);
         meta.pairs[0] = Some(PagePtr::backup(dst, global, crc));
         self.metrics.record_backup_page(global);
         self.pers.recorder().record(

@@ -116,8 +116,22 @@ impl MemIo for HeapMem {
 pub enum ShipError {
     /// The replica has not drained enough slots; retry after backoff.
     Backpressure,
+    /// The frame exceeds the ring's slot payload: no retry or resync can
+    /// deliver it (the sender must split it or the ring needs bigger
+    /// slots).
+    TooLarge,
     /// The ring's header/slot state is self-inconsistent.
     Corrupt,
+}
+
+impl From<RingError> for ShipError {
+    fn from(e: RingError) -> Self {
+        match e {
+            RingError::Full => ShipError::Backpressure,
+            RingError::TooLarge => ShipError::TooLarge,
+            RingError::Corrupt(_) | RingError::Mem(_) => ShipError::Corrupt,
+        }
+    }
 }
 
 /// A dedicated queue pair between a primary and one replica: a delta ring
@@ -258,11 +272,7 @@ impl ReplChannel {
     fn push_delta(&self, round: u64, frame: &[u8]) -> Result<(), ShipError> {
         self.delta_mem.set_version(round);
         let seq = self.delta_seq.fetch_add(1, Ordering::SeqCst);
-        match ring::push(&self.delta_mem, &self.delta, seq, frame) {
-            Ok(_) => Ok(()),
-            Err(RingError::Full) => Err(ShipError::Backpressure),
-            Err(_) => Err(ShipError::Corrupt),
-        }
+        ring::push(&self.delta_mem, &self.delta, seq, frame).map(|_| ()).map_err(ShipError::from)
     }
 
     /// Receives the next delta frame on the replica side. `Ok(None)` when
@@ -306,11 +316,7 @@ impl ReplChannel {
             return Ok(());
         }
         let seq = self.ack_seq.fetch_add(1, Ordering::SeqCst);
-        match ring::push(&self.ack_mem, &self.ack, seq, frame) {
-            Ok(_) => Ok(()),
-            Err(RingError::Full) => Err(ShipError::Backpressure),
-            Err(_) => Err(ShipError::Corrupt),
-        }
+        ring::push(&self.ack_mem, &self.ack, seq, frame).map(|_| ()).map_err(ShipError::from)
     }
 
     /// Receives the next ack/control frame on the primary side.
@@ -403,6 +409,14 @@ mod tests {
         assert_eq!(ch.send_delta(1, b"c"), Err(ShipError::Backpressure));
         assert!(ch.recv_delta().unwrap().is_some());
         ch.send_delta(1, b"c").unwrap();
+    }
+
+    #[test]
+    fn oversized_frame_is_too_large_not_corrupt() {
+        let ch = ReplChannel::new(8, 256, NetFaultConfig::default());
+        let big = vec![0u8; ch.max_frame() + 1];
+        assert_eq!(ch.send_delta(1, &big), Err(ShipError::TooLarge));
+        ch.send_delta(1, &big[..ch.max_frame()]).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@ use parking_lot::RwLock;
 use crate::crash::{CrashSchedule, WriteFate};
 use crate::crc32::crc32;
 use crate::dram::DramPool;
-use crate::latency::LatencyModel;
+use crate::latency::{LatencyModel, CHUNK};
 use crate::meta::MetaArena;
 use crate::page::{zeroed_page, DramId, FrameId, PageBuf, PAGE_SIZE};
 use crate::persist::{PersistMode, PersistModel, Space, CACHE_LINE};
@@ -31,6 +31,13 @@ use crate::stats::MemStats;
 /// ordering is by ascending frame id (and DRAM-before-NVM for cross-device
 /// copies) to keep concurrent page copies deadlock-free.
 ///
+/// Each frame carries a write *generation* next to its bytes, bumped under
+/// the frame's write lock by every mutation (stores, torn prefixes, ADR
+/// crash reverts, media faults). Equal generations mean equal bytes, so a
+/// reader that remembers `(frame, generation)` can skip re-reading an
+/// unchanged page ([`frame_gen`](Self::frame_gen),
+/// [`read_gen`](Self::read_gen)).
+///
 /// Durability semantics are governed by the device's [`PersistModel`]: in
 /// eADR mode (default, the paper's testbed) a store is durable on
 /// execution; in ADR mode dirty cache lines stay volatile until
@@ -39,7 +46,7 @@ use crate::stats::MemStats;
 /// subset ([`settle_crash`](Self::settle_crash)).
 #[derive(Debug)]
 pub struct NvmDevice {
-    frames: Vec<RwLock<PageBuf>>,
+    frames: Vec<RwLock<Frame>>,
     meta: MetaArena,
     latency: Arc<LatencyModel>,
     stats: Arc<MemStats>,
@@ -51,6 +58,23 @@ pub struct NvmDevice {
     persist: Arc<PersistModel>,
 }
 
+/// One page frame: its bytes plus the write generation that changes with
+/// them (both under the same lock).
+#[derive(Debug)]
+struct Frame {
+    data: PageBuf,
+    gen: u64,
+}
+
+impl Frame {
+    /// Bumps the generation; call with the write lock held, alongside the
+    /// byte mutation it stands for.
+    fn touch(&mut self) -> &mut PageBuf {
+        self.gen += 1;
+        &mut self.data
+    }
+}
+
 impl NvmDevice {
     /// Creates a device with `frame_count` zeroed page frames and a zeroed
     /// metadata arena of `meta_len` bytes.
@@ -58,7 +82,8 @@ impl NvmDevice {
         let stats = Arc::new(MemStats::new());
         let crash = Arc::new(CrashSchedule::new());
         let persist = Arc::new(PersistModel::new());
-        let frames = (0..frame_count).map(|_| RwLock::new(zeroed_page())).collect();
+        let frames =
+            (0..frame_count).map(|_| RwLock::new(Frame { data: zeroed_page(), gen: 0 })).collect();
         let meta = MetaArena::new(
             meta_len,
             Arc::clone(&latency),
@@ -118,8 +143,9 @@ impl NvmDevice {
                 Space::Meta => self.meta.revert_line(d.line_off, &d.undo),
                 Space::Frame(f) => {
                     let mut g = self.frames[f as usize].write();
-                    let end = (d.line_off + CACHE_LINE).min(g.len());
-                    g[d.line_off..end].copy_from_slice(&d.undo[..end - d.line_off]);
+                    let page = g.touch();
+                    let end = (d.line_off + CACHE_LINE).min(page.len());
+                    page[d.line_off..end].copy_from_slice(&d.undo[..end - d.line_off]);
                 }
             }
         }
@@ -158,16 +184,16 @@ impl NvmDevice {
                 let mut g = self.frames[frame.index()].write();
                 self.persist.note_write(space, off, data.len(), |line| {
                     let mut l = [0u8; CACHE_LINE];
-                    let end = (line + CACHE_LINE).min(g.len());
-                    l[..end - line].copy_from_slice(&g[line..end]);
+                    let end = (line + CACHE_LINE).min(g.data.len());
+                    l[..end - line].copy_from_slice(&g.data[line..end]);
                     l
                 });
-                g[off..off + data.len()].copy_from_slice(data);
+                g.touch()[off..off + data.len()].copy_from_slice(data);
             }
             WriteFate::Torn { keep } => {
                 if keep > 0 {
                     let mut g = self.frames[frame.index()].write();
-                    g[off..off + keep].copy_from_slice(&data[..keep]);
+                    g.touch()[off..off + keep].copy_from_slice(&data[..keep]);
                 }
                 // The applied prefix is what defines the tear: those lines
                 // reached media.
@@ -183,10 +209,17 @@ impl NvmDevice {
     ///
     /// Panics if the range `off..off + buf.len()` exceeds the page.
     pub fn read(&self, frame: FrameId, off: usize, buf: &mut [u8]) {
+        self.read_gen(frame, off, buf);
+    }
+
+    /// [`read`](Self::read) that also returns the frame's write
+    /// generation for exactly the bytes read (both under one lock hold).
+    pub fn read_gen(&self, frame: FrameId, off: usize, buf: &mut [u8]) -> u64 {
         self.latency.charge_read(buf.len());
         self.stats.record_read(buf.len());
         let g = self.frames[frame.index()].read();
-        buf.copy_from_slice(&g[off..off + buf.len()]);
+        buf.copy_from_slice(&g.data[off..off + buf.len()]);
+        g.gen
     }
 
     /// Writes `data` into `frame` starting at byte `off`.
@@ -214,9 +247,15 @@ impl NvmDevice {
 
     /// Copies the full content of `frame` into `out`.
     pub fn read_page(&self, frame: FrameId, out: &mut [u8; PAGE_SIZE]) {
-        self.latency.charge_read(PAGE_SIZE);
-        self.stats.record_read(PAGE_SIZE);
-        out.copy_from_slice(&**self.frames[frame.index()].read());
+        self.read_gen(frame, 0, out);
+    }
+
+    /// The frame's current write generation: a metadata lookup, not a
+    /// media read (no latency, no read bytes). A generation equal to one
+    /// returned by [`read_gen`](Self::read_gen) means the frame's bytes
+    /// have not changed since.
+    pub fn frame_gen(&self, frame: FrameId) -> u64 {
+        self.frames[frame.index()].read().gen
     }
 
     /// Overwrites the full content of `frame` from `data`.
@@ -233,46 +272,91 @@ impl NvmDevice {
         self.frame_store(frame, 0, &[0u8; PAGE_SIZE]);
     }
 
-    /// Copies one NVM page to another NVM page (`src` → `dst`).
+    /// Stores the whole-page image `data` into `dst` by writing only the
+    /// [`CHUNK`]-sized runs that differ from `dst`'s current bytes (256 B,
+    /// the Optane XPLine: the unit the media would write anyway). Each
+    /// maximal run of differing chunks is one store through the common
+    /// write path, so crash-schedule and torn-write injection see every
+    /// run. Latency and byte counters charge the comparison read and the
+    /// stored runs only.
     ///
-    /// The source is snapshotted under its read lock, then stored through
-    /// the common write path (so torn-write injection sees the copy as one
-    /// page-sized store).
+    /// Skipped chunks are not re-stored, so under ADR a skipped chunk may
+    /// still be a pending line of an earlier store: callers that need the
+    /// copy durable flush the *whole* frame, not just what was stored.
+    fn store_diff(&self, dst: FrameId, data: &[u8; PAGE_SIZE]) {
+        const NCHUNKS: usize = PAGE_SIZE / CHUNK;
+        self.latency.charge_read(PAGE_SIZE);
+        self.stats.record_read(PAGE_SIZE);
+        let mut differs = [false; NCHUNKS];
+        {
+            let g = self.frames[dst.index()].read();
+            let pairs = g.data.chunks_exact(CHUNK).zip(data.chunks_exact(CHUNK));
+            for (d, (a, b)) in differs.iter_mut().zip(pairs) {
+                *d = a != b;
+            }
+        }
+        let mut stored = 0;
+        let mut i = 0;
+        while i < NCHUNKS {
+            if !differs[i] {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < NCHUNKS && differs[i] {
+                i += 1;
+            }
+            let (off, end) = (start * CHUNK, i * CHUNK);
+            self.latency.charge_write(end - off);
+            self.stats.record_write(end - off);
+            self.frame_store(dst, off, &data[off..end]);
+            stored += i - start;
+        }
+        self.stats.record_chunks(stored as u64, (NCHUNKS - stored) as u64);
+    }
+
+    /// Copies one NVM page to another NVM page (`src` → `dst`) and
+    /// returns the CRC-32 of the copied image.
+    ///
+    /// The source is snapshotted under its read lock, then diff-stored
+    /// into `dst`: only the 256 B chunks that differ from `dst`'s current
+    /// content are written, each run of them as one store.
     ///
     /// # Panics
     ///
     /// Panics if `src == dst`.
-    pub fn copy_frame(&self, src: FrameId, dst: FrameId) {
+    pub fn copy_frame(&self, src: FrameId, dst: FrameId) -> u32 {
         assert_ne!(src, dst, "copy_frame requires distinct frames");
         self.latency.charge_read(PAGE_SIZE);
-        self.latency.charge_write(PAGE_SIZE);
         self.stats.record_read(PAGE_SIZE);
-        self.stats.record_write(PAGE_SIZE);
         self.stats.record_page_copy();
         let mut tmp = zeroed_page();
-        tmp.copy_from_slice(&**self.frames[src.index()].read());
-        self.frame_store(dst, 0, &tmp[..]);
+        tmp.copy_from_slice(&self.frames[src.index()].read().data[..]);
+        self.store_diff(dst, &tmp);
+        crc32(&tmp[..])
     }
 
-    /// Copies a DRAM page into an NVM frame (`src` → `dst`).
-    pub fn copy_from_dram(&self, dram: &DramPool, src: DramId, dst: FrameId) {
-        self.latency.charge_write(PAGE_SIZE);
-        self.stats.record_write(PAGE_SIZE);
+    /// Copies a DRAM page into an NVM frame (`src` → `dst`), storing only
+    /// the chunks that differ, and returns the CRC-32 of the copied image.
+    pub fn copy_from_dram(&self, dram: &DramPool, src: DramId, dst: FrameId) -> u32 {
         self.stats.record_page_copy();
         let mut tmp = zeroed_page();
         tmp.copy_from_slice(&dram.lock_page(src)[..]);
-        self.frame_store(dst, 0, &tmp[..]);
+        self.store_diff(dst, &tmp);
+        crc32(&tmp[..])
     }
 
-    /// Copies an NVM frame into a DRAM page (`src` → `dst`).
+    /// Copies an NVM frame into a DRAM page (`src` → `dst`) and returns
+    /// the CRC-32 of the copied image (hashed from the DRAM copy, so the
+    /// frame is read once).
     ///
     /// Cross-device lock order is DRAM before NVM.
-    pub fn copy_to_dram(&self, src: FrameId, dram: &DramPool, dst: DramId) {
+    pub fn copy_to_dram(&self, src: FrameId, dram: &DramPool, dst: DramId) -> u32 {
         self.latency.charge_read(PAGE_SIZE);
         self.stats.record_read(PAGE_SIZE);
         let mut d = dram.lock_page_mut(dst);
-        let s = self.frames[src.index()].read();
-        d.copy_from_slice(&**s);
+        d.copy_from_slice(&self.frames[src.index()].read().data[..]);
+        crc32(&d[..])
     }
 
     /// Returns `true` if the two frames hold identical bytes.
@@ -283,7 +367,7 @@ impl NvmDevice {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
         let ga = self.frames[lo.index()].read();
         let gb = self.frames[hi.index()].read();
-        **ga == **gb
+        ga.data == gb.data
     }
 
     /// CRC-32 of the frame's full content — the integrity tag the
@@ -291,18 +375,19 @@ impl NvmDevice {
     pub fn page_crc(&self, frame: FrameId) -> u32 {
         self.latency.charge_read(PAGE_SIZE);
         self.stats.record_read(PAGE_SIZE);
-        crc32(&**self.frames[frame.index()].read())
+        crc32(&self.frames[frame.index()].read().data[..])
     }
 
     // ------------------------------------------------------------------
     // Media-fault injection (bit rot / poisoned frames). These mutate the
     // media directly — no crash tick, no stats, no durability tracking —
-    // exactly like a cosmic ray or a failing cell, not a CPU store.
+    // exactly like a cosmic ray or a failing cell, not a CPU store. They
+    // do bump the frame generation: the bytes changed.
     // ------------------------------------------------------------------
 
     /// Flips one bit of `frame` at `byte_off` (media fault, not a store).
     pub fn flip_frame_bit(&self, frame: FrameId, byte_off: usize, bit: u8) {
-        self.frames[frame.index()].write()[byte_off] ^= 1 << (bit & 7);
+        self.frames[frame.index()].write().touch()[byte_off] ^= 1 << (bit & 7);
     }
 
     /// Flips one bit of the metadata arena at `off` (media fault).
@@ -312,7 +397,7 @@ impl NvmDevice {
 
     /// Poisons a whole frame with a recognizable rot pattern (media fault).
     pub fn poison_frame(&self, frame: FrameId) {
-        self.frames[frame.index()].write().fill(0xDE);
+        self.frames[frame.index()].write().touch().fill(0xDE);
     }
 }
 
@@ -456,6 +541,81 @@ mod tests {
         let mut out = [0u8; PAGE_SIZE];
         d.read_page(FrameId(0), &mut out);
         assert!(out[..256].iter().all(|&b| b == 0x33));
+    }
+
+    #[test]
+    fn every_mutation_bumps_the_frame_generation() {
+        let d = dev(3);
+        d.set_persist_mode(PersistMode::Adr { reorder_window: 1024 });
+        let mut page = [0u8; PAGE_SIZE];
+        let g0 = d.frame_gen(FrameId(0));
+        d.write(FrameId(0), 0, b"x");
+        let g1 = d.frame_gen(FrameId(0));
+        assert!(g1 > g0, "a store bumps");
+        assert_eq!(d.read_gen(FrameId(0), 0, &mut page), g1, "a read does not");
+        assert_eq!(d.frame_gen(FrameId(1)), 0, "other frames untouched");
+        assert!(d.settle_crash(u64::MAX) > 0);
+        let g2 = d.frame_gen(FrameId(0));
+        assert!(g2 > g1, "an ADR revert bumps");
+        d.set_persist_mode(PersistMode::Eadr);
+        d.flip_frame_bit(FrameId(0), 7, 1);
+        let g3 = d.frame_gen(FrameId(0));
+        assert!(g3 > g2, "bit rot bumps");
+        d.poison_frame(FrameId(0));
+        let g4 = d.frame_gen(FrameId(0));
+        assert!(g4 > g3, "poison bumps");
+        d.crash_schedule().arm(CrashPoint::TornWrite { skip: 0, cut: 1 });
+        catch_unwind(AssertUnwindSafe(|| d.write_page(FrameId(0), &[1u8; PAGE_SIZE])))
+            .expect_err("torn write must crash");
+        d.crash_schedule().disarm();
+        assert!(d.frame_gen(FrameId(0)) > g4, "a torn prefix bumps");
+        // A diff copy of identical bytes stores nothing and keeps the gen.
+        d.copy_frame(FrameId(1), FrameId(2));
+        assert_eq!(d.frame_gen(FrameId(2)), 0);
+    }
+
+    #[test]
+    fn diff_copy_stores_only_differing_chunks() {
+        let d = dev(2);
+        d.write(FrameId(0), 0, &[7u8; PAGE_SIZE]);
+        d.copy_frame(FrameId(0), FrameId(1));
+        let before = d.stats().snapshot();
+        d.write(FrameId(0), 300, b"ab"); // chunk 1
+        d.write(FrameId(0), 3000, b"c"); // chunk 11
+        let crc = d.copy_frame(FrameId(0), FrameId(1));
+        let s = d.stats().snapshot().since(&before);
+        assert!(d.pages_equal(FrameId(0), FrameId(1)));
+        assert_eq!(crc, d.page_crc(FrameId(1)));
+        assert_eq!((s.chunks_stored, s.chunks_skipped), (2, 14));
+        assert_eq!(s.bytes_written, 3 + 2 * CHUNK as u64);
+        assert_eq!(s.page_copies, 1);
+    }
+
+    #[test]
+    fn adr_flush_covers_a_skipped_chunk_still_pending_from_an_earlier_store() {
+        // The destination's chunk 0 already holds the source's bytes, but
+        // from an unflushed store: the diff copy skips it, so only the
+        // whole-frame flush keeps a crash from reverting it.
+        for flush_whole_frame in [true, false] {
+            let d = dev(2);
+            d.write(FrameId(0), 0, &[0x5Au8; PAGE_SIZE]);
+            d.persist_barrier();
+            d.set_persist_mode(PersistMode::Adr { reorder_window: 1024 });
+            d.write(FrameId(1), 0, &[0x5Au8; CHUNK]);
+            d.copy_frame(FrameId(0), FrameId(1));
+            if flush_whole_frame {
+                d.flush_frame(FrameId(1), 0, PAGE_SIZE);
+            } else {
+                d.flush_frame(FrameId(1), CHUNK, PAGE_SIZE - CHUNK);
+            }
+            d.fence();
+            d.settle_crash(u64::MAX);
+            assert_eq!(
+                d.pages_equal(FrameId(0), FrameId(1)),
+                flush_whole_frame,
+                "flush_whole_frame = {flush_whole_frame}"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,16 @@ pub struct MemStats {
     pub bytes_written: AtomicU64,
     /// Total bytes read.
     pub bytes_read: AtomicU64,
-    /// Whole-page copies performed on this device (as destination).
+    /// Whole-page copies performed on this device (as destination): one
+    /// per copy call, however few of its chunks differed.
     pub page_copies: AtomicU64,
     /// Pages currently allocated (incremented by owners, not the device).
     pub pages_allocated: AtomicU64,
+    /// Page-copy chunks ([`CHUNK`](crate::latency::CHUNK) bytes) that
+    /// differed from the destination and were stored.
+    pub chunks_stored: AtomicU64,
+    /// Page-copy chunks already equal at the destination, not stored.
+    pub chunks_skipped: AtomicU64,
 }
 
 impl MemStats {
@@ -43,6 +49,13 @@ impl MemStats {
         self.page_copies.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records the chunk outcome of one diff page copy.
+    #[inline]
+    pub fn record_chunks(&self, stored: u64, skipped: u64) {
+        self.chunks_stored.fetch_add(stored, Ordering::Relaxed);
+        self.chunks_skipped.fetch_add(skipped, Ordering::Relaxed);
+    }
+
     /// Returns a point-in-time snapshot of the counters.
     pub fn snapshot(&self) -> MemStatsSnapshot {
         MemStatsSnapshot {
@@ -50,6 +63,8 @@ impl MemStats {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             page_copies: self.page_copies.load(Ordering::Relaxed),
             pages_allocated: self.pages_allocated.load(Ordering::Relaxed),
+            chunks_stored: self.chunks_stored.load(Ordering::Relaxed),
+            chunks_skipped: self.chunks_skipped.load(Ordering::Relaxed),
         }
     }
 }
@@ -65,6 +80,10 @@ pub struct MemStatsSnapshot {
     pub page_copies: u64,
     /// Pages allocated at snapshot time.
     pub pages_allocated: u64,
+    /// Page-copy chunks stored at snapshot time.
+    pub chunks_stored: u64,
+    /// Page-copy chunks skipped (already equal) at snapshot time.
+    pub chunks_skipped: u64,
 }
 
 impl MemStatsSnapshot {
@@ -80,6 +99,8 @@ impl MemStatsSnapshot {
             bytes_read: self.bytes_read - earlier.bytes_read,
             page_copies: self.page_copies - earlier.page_copies,
             pages_allocated: self.pages_allocated.saturating_sub(earlier.pages_allocated),
+            chunks_stored: self.chunks_stored - earlier.chunks_stored,
+            chunks_skipped: self.chunks_skipped - earlier.chunks_skipped,
         }
     }
 }

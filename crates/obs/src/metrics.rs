@@ -200,6 +200,7 @@ pub struct MetricsRegistry {
     repl_records_shipped: AtomicU64,
     repl_pages_shipped: AtomicU64,
     repl_bytes_shipped: AtomicU64,
+    repl_pages_read: AtomicU64,
     repl_acks: AtomicU64,
     repl_resyncs: AtomicU64,
     repl_quarantined: AtomicU64,
@@ -455,18 +456,21 @@ impl MetricsRegistry {
         let _ = (shard, responses);
     }
 
-    /// Records one checkpoint-round delta shipped to replication peers.
+    /// Records one checkpoint-round delta shipped to replication peers;
+    /// `pages_read` counts the page images the shipper read from NVM to
+    /// build it (pages whose source was unchanged are not read).
     #[inline]
-    pub fn record_repl_ship(&self, records: u64, pages: u64, bytes: u64) {
+    pub fn record_repl_ship(&self, records: u64, pages: u64, bytes: u64, pages_read: u64) {
         #[cfg(feature = "metrics")]
         {
             self.repl_rounds_shipped.fetch_add(1, Ordering::Relaxed);
             self.repl_records_shipped.fetch_add(records, Ordering::Relaxed);
             self.repl_pages_shipped.fetch_add(pages, Ordering::Relaxed);
             self.repl_bytes_shipped.fetch_add(bytes, Ordering::Relaxed);
+            self.repl_pages_read.fetch_add(pages_read, Ordering::Relaxed);
         }
         #[cfg(not(feature = "metrics"))]
-        let _ = (records, pages, bytes);
+        let _ = (records, pages, bytes, pages_read);
     }
 
     /// Records one round acknowledgement received from a replica.
@@ -608,6 +612,7 @@ impl MetricsRegistry {
                 repl_records_shipped: l(&self.repl_records_shipped),
                 repl_pages_shipped: l(&self.repl_pages_shipped),
                 repl_bytes_shipped: l(&self.repl_bytes_shipped),
+                repl_pages_read: l(&self.repl_pages_read),
                 repl_acks: l(&self.repl_acks),
                 repl_resyncs: l(&self.repl_resyncs),
                 repl_quarantined: l(&self.repl_quarantined),
@@ -726,6 +731,9 @@ pub struct MetricsSnapshot {
     pub repl_pages_shipped: u64,
     /// Wire bytes streamed to replication peers.
     pub repl_bytes_shipped: u64,
+    /// Page images the shipper read from NVM (delta builds read only the
+    /// pages whose source changed; snapshots read every page).
+    pub repl_pages_read: u64,
     /// Round acknowledgements received from replicas.
     pub repl_acks: u64,
     /// Full-snapshot resyncs served after delta gaps or corruption.
@@ -760,8 +768,12 @@ pub struct MetricsSnapshot {
     pub nvm_bytes_written: u64,
     /// Bytes read from the NVM device.
     pub nvm_bytes_read: u64,
-    /// Whole-page copies landing on the NVM device.
+    /// Whole-page copies landing on the NVM device (one per copy call).
     pub nvm_page_copies: u64,
+    /// 256 B chunks of page copies that differed and were stored.
+    pub nvm_chunks_stored: u64,
+    /// 256 B chunks of page copies already equal at the destination.
+    pub nvm_chunks_skipped: u64,
     /// Gauge: high-water mark of allocator undo-journal records per
     /// transaction.
     pub journal_high_water: u64,
@@ -820,6 +832,7 @@ impl MetricsSnapshot {
             repl_records_shipped: self.repl_records_shipped - earlier.repl_records_shipped,
             repl_pages_shipped: self.repl_pages_shipped - earlier.repl_pages_shipped,
             repl_bytes_shipped: self.repl_bytes_shipped - earlier.repl_bytes_shipped,
+            repl_pages_read: self.repl_pages_read - earlier.repl_pages_read,
             repl_acks: self.repl_acks - earlier.repl_acks,
             repl_resyncs: self.repl_resyncs - earlier.repl_resyncs,
             repl_quarantined: self.repl_quarantined - earlier.repl_quarantined,
@@ -838,6 +851,8 @@ impl MetricsSnapshot {
             nvm_bytes_written: self.nvm_bytes_written - earlier.nvm_bytes_written,
             nvm_bytes_read: self.nvm_bytes_read - earlier.nvm_bytes_read,
             nvm_page_copies: self.nvm_page_copies - earlier.nvm_page_copies,
+            nvm_chunks_stored: self.nvm_chunks_stored - earlier.nvm_chunks_stored,
+            nvm_chunks_skipped: self.nvm_chunks_skipped - earlier.nvm_chunks_skipped,
             journal_high_water: self.journal_high_water,
             journal_truncated: self.journal_truncated,
         }
@@ -926,6 +941,7 @@ impl MetricsSnapshot {
                     ("records_shipped".into(), u(self.repl_records_shipped)),
                     ("pages_shipped".into(), u(self.repl_pages_shipped)),
                     ("bytes_shipped".into(), u(self.repl_bytes_shipped)),
+                    ("pages_read".into(), u(self.repl_pages_read)),
                     ("acks".into(), u(self.repl_acks)),
                     ("resyncs".into(), u(self.repl_resyncs)),
                     ("quarantined".into(), u(self.repl_quarantined)),
@@ -958,6 +974,8 @@ impl MetricsSnapshot {
                     ("bytes_written".into(), u(self.nvm_bytes_written)),
                     ("bytes_read".into(), u(self.nvm_bytes_read)),
                     ("page_copies".into(), u(self.nvm_page_copies)),
+                    ("chunks_stored".into(), u(self.nvm_chunks_stored)),
+                    ("chunks_skipped".into(), u(self.nvm_chunks_skipped)),
                 ]),
             ),
             (

@@ -133,6 +133,10 @@ pub enum EventKind {
     /// landed; durability follows at the covering checkpoint). Payload:
     /// `[commit_seq, txn_id, writes, reads, latency_ns, snapshot_seq]`.
     TxnCommit = 22,
+    /// The replication shipper could not push a frame to a peer because it
+    /// exceeds the delta ring's slot payload (no retry or resync can
+    /// deliver it). Payload: `[round, frame_len, max_frame, peer, 0, 0]`.
+    ReplTooLarge = 23,
 }
 
 impl EventKind {
@@ -161,6 +165,7 @@ impl EventKind {
             20 => EventKind::EpochFlip,
             21 => EventKind::InlineLog,
             22 => EventKind::TxnCommit,
+            23 => EventKind::ReplTooLarge,
             _ => return None,
         })
     }
@@ -190,6 +195,7 @@ impl EventKind {
             EventKind::EpochFlip => "epoch_flip",
             EventKind::InlineLog => "inline_log",
             EventKind::TxnCommit => "txn_commit",
+            EventKind::ReplTooLarge => "repl_too_large",
         }
     }
 }

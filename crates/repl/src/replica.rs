@@ -65,6 +65,9 @@ pub struct ReplicaStore {
     pub pages: HashMap<(u64, u64), PageImage>,
 }
 
+/// Manifest entries `(index, version, crc)` of one continuation frame.
+type ManifestPart = Vec<(u64, u64, u32)>;
+
 /// An in-flight round being staged; applied atomically at the commit
 /// frame, discarded whole on any damage.
 #[derive(Debug, Default)]
@@ -76,8 +79,38 @@ struct Staging {
     expect_tombstones: u32,
     expect_pages: u32,
     records: HashMap<u64, WireRecord>,
+    /// PMO manifest continuations keyed by `(oroot, start)` (a duplicated
+    /// frame lands on the same key).
+    manifests: HashMap<(u64, u32), ManifestPart>,
     pages: HashMap<(u64, u64), PageImage>,
     tombstones: HashSet<u64>,
+}
+
+impl Staging {
+    /// Whether every counted frame arrived: `Record` and `Manifest`
+    /// frames share the begin frame's record count.
+    fn complete(&self) -> bool {
+        self.records.len() + self.manifests.len() == self.expect_records as usize
+            && self.tombstones.len() == self.expect_tombstones as usize
+            && self.pages.len() == self.expect_pages as usize
+    }
+
+    /// Appends each manifest continuation to its PMO record, in `start`
+    /// order. `false` if a continuation has no PMO record or does not
+    /// extend its manifest exactly where the previous part ended.
+    fn merge_manifests(&mut self) -> bool {
+        let mut parts: Vec<_> = self.manifests.drain().collect();
+        parts.sort_unstable_by_key(|&(key, _)| key);
+        parts.into_iter().all(|((oroot, start), more)| {
+            match self.records.get_mut(&oroot) {
+                Some(WireRecord::Pmo { pages, .. }) if pages.len() == start as usize => {
+                    pages.extend(more);
+                    true
+                }
+                _ => false,
+            }
+        })
+    }
 }
 
 #[derive(Debug, Default)]
@@ -248,6 +281,11 @@ impl Replica {
                     s.records.insert(oroot, rec);
                 }
             }
+            Frame::Manifest { oroot, start, pages } => {
+                if let Some(s) = st.staging.as_mut() {
+                    s.manifests.insert((oroot, start), pages);
+                }
+            }
             Frame::Page { oroot, idx, version, crc, data } => {
                 if let Some(s) = st.staging.as_mut() {
                     s.pages.insert((oroot, idx), PageImage { version, crc, data });
@@ -259,13 +297,12 @@ impl Replica {
                 }
             }
             Frame::DeltaCommit { epoch, round, root } => {
-                let ok = st.staging.as_ref().is_some_and(|s| {
+                let ok = st.staging.as_mut().is_some_and(|s| {
                     !s.snapshot
                         && s.epoch == epoch
                         && s.round == round
-                        && s.records.len() == s.expect_records as usize
-                        && s.tombstones.len() == s.expect_tombstones as usize
-                        && s.pages.len() == s.expect_pages as usize
+                        && s.complete()
+                        && s.merge_manifests()
                 });
                 if st.awaiting_snapshot {
                     return;
@@ -306,12 +343,12 @@ impl Replica {
                 });
             }
             Frame::SnapCommit { epoch, round, root } => {
-                let ok = st.staging.as_ref().is_some_and(|s| {
+                let ok = st.staging.as_mut().is_some_and(|s| {
                     s.snapshot
                         && s.epoch == epoch
                         && s.round == round
-                        && s.records.len() == s.expect_records as usize
-                        && s.pages.len() == s.expect_pages as usize
+                        && s.complete()
+                        && s.merge_manifests()
                 });
                 if !ok {
                     let stale = round <= st.store.applied_round;

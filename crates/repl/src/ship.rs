@@ -10,6 +10,14 @@
 //! reorder past the window, corruption, its own crash — requests a
 //! resync and receives a full snapshot instead of the next delta.
 //!
+//! Building a delta costs what changed, too: a rewritten PMO record
+//! still lists every page in its manifest, but the shipper remembers
+//! where each shipped image came from (`PageSource`) and reads a page
+//! from NVM only when that source may have changed — a backup or capture
+//! whose stored CRC differs, or a runtime frame (or in-line log) whose
+//! device write generation moved. An unchanged page costs one metadata
+//! lookup, not a 4 KiB read and a CRC.
+//!
 //! External synchrony across machines: the shipper runs *before* the
 //! NIC's checkpoint callback (`register_callback_front`), waits up to
 //! `ack_timeout` for the round to be durable on `quorum` machines
@@ -29,9 +37,10 @@ use parking_lot::Mutex;
 use treesls_checkpoint::{CheckpointManager, CkptCallback, RoundDelta};
 use treesls_kernel::kernel::Kernel;
 use treesls_kernel::oroot::{BackupObject, BkThreadState};
+use treesls_kernel::pmo::{apply_undo_records, parse_undo_records, PageMeta, PagePtr, RestoreImage};
 use treesls_net::repl::ReleaseGate;
 use treesls_net::{ReplChannel, ShipError};
-use treesls_nvm::crash_site;
+use treesls_nvm::{crash_site, FrameId, PAGE_SIZE};
 use treesls_obs::EventKind;
 
 use crate::wire::{Frame, WireRecord, WireRegion, WireThreadState};
@@ -141,6 +150,9 @@ pub struct ShipStats {
     pub tombstones: u64,
     /// Page images shipped.
     pub pages: u64,
+    /// Page images read from NVM to build the round's delta and snapshot
+    /// (unchanged pages are not read).
+    pub pages_read: u64,
     /// Encoded frame bytes shipped (all peers).
     pub bytes: u64,
     /// Peers that received a snapshot this round.
@@ -159,6 +171,38 @@ struct BuiltFrames {
     tombstones: u64,
     pages: u64,
     bytes: u64,
+    /// Page images read from NVM to build the frames.
+    pages_read: u64,
+}
+
+/// Where a shipped page image came from: enough to prove, without
+/// reading the page, that the image is still the one shipped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PageSource {
+    /// A frozen backup or capture image; its stored CRC identifies it.
+    Stored,
+    /// The runtime (version-0) frame at a device write generation.
+    Runtime { frame: FrameId, gen: u64 },
+    /// Runtime ⊖ in-line undo log: both frames' generations plus the
+    /// log's used length.
+    Log { rt: FrameId, rt_gen: u64, log: FrameId, log_gen: u64, used: u32 },
+}
+
+/// The image last shipped for one `(oroot, page)`: the replica holds
+/// bytes with this CRC, and `src` produced them.
+#[derive(Debug, Clone, Copy)]
+struct ShippedPage {
+    crc: u32,
+    src: PageSource,
+}
+
+/// A page's round image as the shipper resolved it. `data` is `None`
+/// when the cache proved the image unchanged and nothing was read.
+struct RoundImage {
+    version: u64,
+    crc: u32,
+    src: PageSource,
+    data: Option<Box<[u8; PAGE_SIZE]>>,
 }
 
 /// The checkpoint-shipping callback installed on the primary.
@@ -171,9 +215,13 @@ pub struct Shipper {
     pub health: Arc<ReplHealth>,
     epoch: AtomicU64,
     peers: Mutex<Vec<Peer>>,
-    /// Last shipped CRC per `(oroot, page idx)`: pages whose content did
-    /// not change since the previous ship are elided from deltas.
-    page_crc: Mutex<HashMap<(u64, u64), u32>>,
+    /// Largest frame every peer's delta ring accepts; PMO manifests longer
+    /// than this split into continuation frames.
+    max_frame: usize,
+    /// Last shipped image per `(oroot, page idx)`: pages whose content did
+    /// not change since the previous ship are elided from deltas, and
+    /// pages whose source did not change are not even read.
+    page_cache: Mutex<HashMap<(u64, u64), ShippedPage>>,
     /// Eternal PMOs seen by any ship. Host clients write eternal rings
     /// directly — no fault ever fires, so nothing marks them dirty and
     /// they would silently drop out of every delta. They are instead
@@ -194,6 +242,7 @@ impl Shipper {
         channels: Vec<Arc<ReplChannel>>,
         cfg: ShipConfig,
     ) -> Arc<Self> {
+        let max_frame = channels.iter().map(|c| c.max_frame()).min().unwrap_or(usize::MAX);
         let shipper = Arc::new(Self {
             kernel,
             mgr: Arc::downgrade(mgr),
@@ -207,7 +256,8 @@ impl Shipper {
                     .map(|(id, ch)| Peer { id, ch, acked: 0, needs_snapshot: false })
                     .collect(),
             ),
-            page_crc: Mutex::new(HashMap::new()),
+            max_frame,
+            page_cache: Mutex::new(HashMap::new()),
             eternal: Mutex::new(HashSet::new()),
             last_ship: Mutex::new(ShipStats::default()),
         });
@@ -266,9 +316,87 @@ impl Shipper {
         }
     }
 
+    /// Resolves a page's frozen image at `round`. With `last` (the image
+    /// shipped before) the page is read only if its source may have
+    /// changed; without it (snapshots) it is always read.
+    ///
+    /// The shipped bytes must be the *frozen* round image, not the live
+    /// runtime — under epoch-concurrent checkpointing a page's round image
+    /// may live in a not-yet-folded whole-page capture, or be
+    /// reconstructible only as runtime ⊖ its in-line undo log (mutators
+    /// kept writing through the copy phase).
+    fn round_image(
+        &self,
+        meta: &PageMeta,
+        round: u64,
+        last: Option<ShippedPage>,
+    ) -> Option<RoundImage> {
+        let dev = &self.kernel.pers.dev;
+        let unchanged = |src: PageSource| last.filter(|l| l.src == src).map(|l| l.crc);
+        let from_ptr = |ptr: PagePtr, version: u64| match ptr.crc {
+            // Backup pages are frozen, so their stored CRC names their
+            // bytes: equal to the shipped CRC means nothing to read.
+            Some(crc) => {
+                let data = (last.map(|l| l.crc) != Some(crc)).then(|| {
+                    let mut data = Box::new([0u8; PAGE_SIZE]);
+                    dev.read_page(ptr.frame, &mut data);
+                    data
+                });
+                RoundImage { version, crc, src: PageSource::Stored, data }
+            }
+            // A runtime page (version 0, "the runtime page is the image")
+            // may be an eternal ring a host client is writing right now:
+            // key it by the frame generation, and hash the bytes actually
+            // read with the generation they were read at. Version 0
+            // travels as-is: it is round-independent, so re-serializing an
+            // unchanged record at a later round yields identical bytes,
+            // and the promotion path accepts it.
+            None => {
+                let src = PageSource::Runtime { frame: ptr.frame, gen: dev.frame_gen(ptr.frame) };
+                if let Some(crc) = unchanged(src) {
+                    return RoundImage { version, crc, src, data: None };
+                }
+                let mut data = Box::new([0u8; PAGE_SIZE]);
+                let gen = dev.read_gen(ptr.frame, 0, &mut data[..]);
+                let crc = treesls_nvm::crc32(&data[..]);
+                let src = PageSource::Runtime { frame: ptr.frame, gen };
+                RoundImage { version, crc, src, data: Some(data) }
+            }
+        };
+        Some(match meta.restore_image(round) {
+            RestoreImage::Capture(c) => from_ptr(c, c.version.min(round)),
+            RestoreImage::Pair(pick) => {
+                let ptr = meta.pairs[pick].expect("picked pair exists");
+                from_ptr(ptr, ptr.version)
+            }
+            RestoreImage::Log(log) => {
+                let rt = meta.pairs[1].expect("logged pages are non-migrated").frame;
+                let src = PageSource::Log {
+                    rt,
+                    rt_gen: dev.frame_gen(rt),
+                    log: log.frame,
+                    log_gen: dev.frame_gen(log.frame),
+                    used: log.used,
+                };
+                if let Some(crc) = unchanged(src) {
+                    return Some(RoundImage { version: round, crc, src, data: None });
+                }
+                let mut data = Box::new([0u8; PAGE_SIZE]);
+                let rt_gen = dev.read_gen(rt, 0, &mut data[..]);
+                let mut raw_log = vec![0u8; log.used as usize];
+                let log_gen = dev.read_gen(log.frame, 0, &mut raw_log);
+                apply_undo_records(&mut data, &parse_undo_records(&raw_log));
+                let crc = treesls_nvm::crc32(&data[..]);
+                let src = PageSource::Log { rt, rt_gen, log: log.frame, log_gen, used: log.used };
+                RoundImage { version: round, crc, src, data: Some(data) }
+            }
+            RestoreImage::None => return None,
+        })
+    }
+
     /// Serializes one backup record; PMO page images whose CRC changed
     /// since the last ship are appended to `pages` (pass `ship_all` to
-    /// bypass the cache for snapshots).
+    /// bypass the cache for snapshots). Counts page reads in `reads`.
     fn wire_of(
         &self,
         raw: u64,
@@ -276,6 +404,7 @@ impl Shipper {
         round: u64,
         ship_all: bool,
         pages: &mut Vec<Frame>,
+        reads: &mut u64,
     ) -> WireRecord {
         let to_raw = |id: treesls_kernel::types::OrootId| id.to_raw();
         match rec {
@@ -325,60 +454,32 @@ impl Shipper {
                     self.eternal.lock().insert(raw);
                 }
                 let mut manifest = Vec::new();
-                let mut cache = self.page_crc.lock();
+                let mut cache = self.page_cache.lock();
                 radix.for_each(|idx, entry| {
                     if !entry.live_at(round) {
                         return;
                     }
+                    let last = cache.get(&(raw, idx)).copied();
                     let meta = entry.slot.meta.lock();
-                    // The shipped bytes must be the *frozen* round image,
-                    // not the live runtime — under epoch-concurrent
-                    // checkpointing a page's round image may live in a
-                    // not-yet-folded whole-page capture, or be
-                    // reconstructible only as runtime ⊖ its in-line undo
-                    // log (mutators kept writing through the copy phase).
-                    use treesls_kernel::pmo::RestoreImage;
-                    let mut data = Box::new([0u8; 4096]);
-                    let (version, stored_crc) = match meta.restore_image(round) {
-                        RestoreImage::Capture(c) => {
-                            self.kernel.pers.dev.read_page(c.frame, &mut data);
-                            (c.version.min(round), c.crc)
-                        }
-                        RestoreImage::Log(log) => {
-                            let rt = meta.pairs[1]
-                                .expect("logged pages are non-migrated")
-                                .frame;
-                            self.kernel.pers.dev.read_page(rt, &mut data);
-                            let mut raw_log = vec![0u8; log.used as usize];
-                            self.kernel.pers.dev.read(log.frame, 0, &mut raw_log);
-                            let recs = treesls_kernel::pmo::parse_undo_records(&raw_log);
-                            treesls_kernel::pmo::apply_undo_records(&mut data, &recs);
-                            (round, None)
-                        }
-                        // Version 0 ("the runtime page is the image")
-                        // travels as-is: it is round-independent, so
-                        // re-serializing an unchanged record at a later
-                        // round yields identical bytes, and the promotion
-                        // path accepts it (a v0 backup is picked by the
-                        // (Some, None) fallthrough).
-                        RestoreImage::Pair(pick) => {
-                            let ptr = meta.pairs[pick].expect("picked pair exists");
-                            self.kernel.pers.dev.read_page(ptr.frame, &mut data);
-                            (ptr.version, ptr.crc)
-                        }
-                        RestoreImage::None => return,
+                    let Some(img) = self.round_image(&meta, round, last.filter(|_| !ship_all))
+                    else {
+                        return;
                     };
-                    // Backup pages are frozen, so their stored CRC matches
-                    // the bytes read. A runtime page (no stored CRC) may be
-                    // an eternal ring a host client is writing right now,
-                    // and a log reconstruction is computed on the fly:
-                    // hash the bytes we actually read, not the frame again.
-                    let crc = stored_crc.unwrap_or_else(|| treesls_nvm::crc32(&data[..]));
-                    manifest.push((idx, version, crc));
-                    if ship_all || cache.get(&(raw, idx)) != Some(&crc) {
-                        pages.push(Frame::Page { oroot: raw, idx, version, crc, data });
+                    drop(meta);
+                    manifest.push((idx, img.version, img.crc));
+                    if let Some(data) = img.data {
+                        *reads += 1;
+                        if ship_all || last.map(|l| l.crc) != Some(img.crc) {
+                            pages.push(Frame::Page {
+                                oroot: raw,
+                                idx,
+                                version: img.version,
+                                crc: img.crc,
+                                data,
+                            });
+                        }
                     }
-                    cache.insert((raw, idx), crc);
+                    cache.insert((raw, idx), ShippedPage { crc: img.crc, src: img.src });
                 });
                 WireRecord::Pmo {
                     npages: *npages,
@@ -423,7 +524,9 @@ impl Shipper {
         let round = delta.round;
         let mut tombs: HashSet<u64> =
             delta.tombstoned.iter().map(|id| id.to_raw()).collect();
+        // `Record` frames plus their `Manifest` continuations.
         let mut records = Vec::new();
+        let (mut nrec, mut reads) = (0, 0);
         let mut pages = Vec::new();
         let mut shipped: HashSet<u64> = HashSet::new();
         for id in &delta.rewritten {
@@ -433,8 +536,9 @@ impl Shipper {
             }
             match self.live_record(*id, round) {
                 Some(rec) => {
-                    let wire = self.wire_of(raw, &rec, round, false, &mut pages);
-                    records.push(Frame::Record { oroot: raw, rec: wire });
+                    let wire = self.wire_of(raw, &rec, round, false, &mut pages, &mut reads);
+                    records.extend(Frame::record_frames(raw, wire, self.max_frame));
+                    nrec += 1;
                 }
                 // Rewritten then deleted before the callbacks ran: the
                 // store no longer has it, so it is a tombstone.
@@ -455,8 +559,9 @@ impl Shipper {
             match self.live_record(id, round) {
                 Some(rec) => {
                     shipped.insert(raw);
-                    let wire = self.wire_of(raw, &rec, round, false, &mut pages);
-                    records.push(Frame::Record { oroot: raw, rec: wire });
+                    let wire = self.wire_of(raw, &rec, round, false, &mut pages, &mut reads);
+                    records.extend(Frame::record_frames(raw, wire, self.max_frame));
+                    nrec += 1;
                 }
                 None => {
                     self.eternal.lock().remove(&raw);
@@ -465,7 +570,7 @@ impl Shipper {
         }
         {
             // Deleted objects keep no page state worth deduplicating.
-            let mut cache = self.page_crc.lock();
+            let mut cache = self.page_cache.lock();
             cache.retain(|(o, _), _| !tombs.contains(o));
             self.eternal.lock().retain(|o| !tombs.contains(o));
         }
@@ -480,7 +585,7 @@ impl Shipper {
             }
             .encode(),
         );
-        let (nrec, npg, ntomb) = (records.len() as u64, pages.len() as u64, tombs.len() as u64);
+        let (npg, ntomb) = (pages.len() as u64, tombs.len() as u64);
         for f in records.into_iter().chain(pages) {
             frames.push(f.encode());
         }
@@ -489,19 +594,28 @@ impl Shipper {
         }
         frames.push(Frame::DeltaCommit { epoch, round, root }.encode());
         let bytes = frames.iter().map(|f| f.len() as u64).sum();
-        BuiltFrames { frames, records: nrec, tombstones: ntomb, pages: npg, bytes }
+        BuiltFrames {
+            frames,
+            records: nrec,
+            tombstones: ntomb,
+            pages: npg,
+            bytes,
+            pages_read: reads,
+        }
     }
 
     /// A full-state transfer: every live, restorable record and every
     /// live page image at `round`.
     fn build_snapshot(&self, epoch: u64, round: u64, root: u64) -> BuiltFrames {
         let mut records = Vec::new();
+        let (mut nrec, mut reads) = (0, 0);
         let mut pages = Vec::new();
         for id in self.kernel.pers.oroots.ids() {
             if let Some(rec) = self.live_record(id, round) {
                 let raw = id.to_raw();
-                let wire = self.wire_of(raw, &rec, round, true, &mut pages);
-                records.push(Frame::Record { oroot: raw, rec: wire });
+                let wire = self.wire_of(raw, &rec, round, true, &mut pages, &mut reads);
+                records.extend(Frame::record_frames(raw, wire, self.max_frame));
+                nrec += 1;
             }
         }
         let mut frames = Vec::with_capacity(records.len() + pages.len() + 2);
@@ -514,18 +628,20 @@ impl Shipper {
             }
             .encode(),
         );
-        let (nrec, npg) = (records.len() as u64, pages.len() as u64);
+        let npg = pages.len() as u64;
         for f in records.into_iter().chain(pages) {
             frames.push(f.encode());
         }
         frames.push(Frame::SnapCommit { epoch, round, root }.encode());
         let bytes = frames.iter().map(|f| f.len() as u64).sum();
-        BuiltFrames { frames, records: nrec, tombstones: 0, pages: npg, bytes }
+        BuiltFrames { frames, records: nrec, tombstones: 0, pages: npg, bytes, pages_read: reads }
     }
 
     /// Pushes `frames` to one peer with bounded retry and capped
     /// exponential backoff. Returns `false` (and flags the peer for a
-    /// snapshot) if the ring stayed full through every retry.
+    /// snapshot) if the ring stayed full through every retry or refused a
+    /// frame; a frame too large for the ring's slots is also recorded as
+    /// a `ReplTooLarge` flight event, since no resync can deliver it.
     fn ship_to(&self, peer: &mut Peer, round: u64, frames: &[Vec<u8>], first_peer: bool) -> bool {
         let sched = self.kernel.pers.dev.crash_schedule();
         let last = frames.len().saturating_sub(1);
@@ -546,7 +662,14 @@ impl Shipper {
                         std::thread::sleep(backoff);
                         backoff = (backoff * 2).min(self.cfg.backoff_cap);
                     }
-                    Err(_) => {
+                    Err(e) => {
+                        if e == ShipError::TooLarge {
+                            let (len, max) = (frame.len() as u64, self.max_frame as u64);
+                            self.kernel.pers.recorder().record(
+                                EventKind::ReplTooLarge,
+                                [round, len, max, peer.id as u64, 0, 0],
+                            );
+                        }
                         peer.needs_snapshot = true;
                         return false;
                     }
@@ -585,6 +708,7 @@ impl CkptCallback for Shipper {
             stats.records = b.records;
             stats.tombstones = b.tombstones;
             stats.pages = b.pages;
+            stats.pages_read = b.pages_read;
         }
 
         // Ship: peers in good standing get the delta; flagged peers (or
@@ -599,7 +723,9 @@ impl CkptCallback for Shipper {
                     Some(d) if !peer.needs_snapshot => d,
                     _ => {
                         if snapshot.is_none() {
-                            snapshot = Some(self.build_snapshot(epoch, version, root));
+                            let snap = self.build_snapshot(epoch, version, root);
+                            stats.pages_read += snap.pages_read;
+                            snapshot = Some(snap);
                         }
                         stats.snapshots += 1;
                         peer.needs_snapshot = false;
@@ -611,7 +737,12 @@ impl CkptCallback for Shipper {
                 first = false;
             }
         }
-        self.kernel.metrics.record_repl_ship(stats.records, stats.pages, stats.bytes);
+        self.kernel.metrics.record_repl_ship(
+            stats.records,
+            stats.pages,
+            stats.bytes,
+            stats.pages_read,
+        );
 
         // Quorum wait: the visibility barrier may only release rounds
         // durable on `quorum` machines.
@@ -662,7 +793,7 @@ impl CkptCallback for Shipper {
         // locally by construction.
         self.health.durable.store(version, Ordering::SeqCst);
         self.health.degraded.store(false, Ordering::SeqCst);
-        self.page_crc.lock().clear();
+        self.page_cache.lock().clear();
         self.eternal.lock().clear();
         for peer in self.peers.lock().iter_mut() {
             peer.needs_snapshot = true;

@@ -13,11 +13,14 @@
 //! them on promotion) and the PMO page radix replaced by a page
 //! *manifest* of `(index, version, crc)`. Page images travel in separate
 //! [`Frame::Page`] frames so a delta only carries the pages whose content
-//! actually changed.
+//! actually changed. A manifest too long for one ring slot (20 B per page)
+//! is split: the `Record` frame carries its head and [`Frame::Manifest`]
+//! continuation frames carry the rest ([`Frame::record_frames`]).
 
-/// A replication frame. Deltas stream as `DeltaBegin · (Record | Page |
-/// Tombstone)* · DeltaCommit`; snapshots as `SnapBegin · (Record | Page)*
-/// · SnapCommit`. `Ack` and `ResyncRequest` flow on the ack ring.
+/// A replication frame. Deltas stream as `DeltaBegin · (Record | Manifest
+/// | Page | Tombstone)* · DeltaCommit`; snapshots as `SnapBegin · (Record
+/// | Manifest | Page)* · SnapCommit`. `Ack` and `ResyncRequest` flow on
+/// the ack ring.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Opens the delta for `round`; the counts let the replica verify it
@@ -27,7 +30,7 @@ pub enum Frame {
         epoch: u64,
         /// Checkpoint round the delta carries the state of.
         round: u64,
-        /// Number of `Record` frames in the delta.
+        /// Number of `Record` and `Manifest` frames in the delta.
         records: u32,
         /// Number of `Tombstone` frames in the delta.
         tombstones: u32,
@@ -40,6 +43,18 @@ pub enum Frame {
         oroot: u64,
         /// The record body in wire form.
         rec: WireRecord,
+    },
+    /// A continuation of a PMO record's page manifest: entries `start..`
+    /// of the manifest whose head rode in the record's `Record` frame of
+    /// the same round. The replica appends continuations in `start` order
+    /// before the round commits.
+    Manifest {
+        /// Raw ORoot id of the PMO.
+        oroot: u64,
+        /// Position of `pages[0]` in the whole manifest.
+        start: u32,
+        /// Manifest entries `(index, version, crc)`.
+        pages: Vec<(u64, u64, u32)>,
     },
     /// One 4 KiB page image of a PMO record in the same round.
     Page {
@@ -75,7 +90,7 @@ pub enum Frame {
         epoch: u64,
         /// Round the snapshot captures.
         round: u64,
-        /// Number of `Record` frames in the snapshot.
+        /// Number of `Record` and `Manifest` frames in the snapshot.
         records: u32,
         /// Number of `Page` frames in the snapshot.
         pages: u32,
@@ -228,6 +243,13 @@ const T_SNAP_BEGIN: u8 = 6;
 const T_SNAP_COMMIT: u8 = 7;
 const T_ACK: u8 = 8;
 const T_RESYNC: u8 = 9;
+const T_MANIFEST: u8 = 10;
+
+/// Encoded size of one manifest entry `(index, version, crc)`.
+const MANIFEST_ENTRY: usize = 20;
+/// Encoded size of a `Manifest` frame's fixed part (tag, oroot, start,
+/// entry count).
+const MANIFEST_HEADER: usize = 1 + 8 + 4 + 4;
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -240,6 +262,15 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u32(buf, b.len() as u32);
     buf.extend_from_slice(b);
+}
+
+fn put_manifest(buf: &mut Vec<u8>, pages: &[(u64, u64, u32)]) {
+    put_u32(buf, pages.len() as u32);
+    for (idx, version, crc) in pages {
+        put_u64(buf, *idx);
+        put_u64(buf, *version);
+        put_u32(buf, *crc);
+    }
 }
 
 /// A bounds-checked little-endian reader over a frame.
@@ -274,6 +305,19 @@ impl<'a> Reader<'a> {
         Ok(s.to_vec())
     }
 
+    fn manifest(&mut self) -> Result<Vec<(u64, u64, u32)>, WireError> {
+        let n = self.u32()? as usize;
+        // Bound the allocation by what the frame can actually hold.
+        if n > (self.buf.len() - self.off) / MANIFEST_ENTRY {
+            return Err(WireError::Truncated);
+        }
+        let mut pages = Vec::with_capacity(n);
+        for _ in 0..n {
+            pages.push((self.u64()?, self.u64()?, self.u32()?));
+        }
+        Ok(pages)
+    }
+
     fn string(&mut self) -> Result<String, WireError> {
         String::from_utf8(self.bytes()?).map_err(|_| WireError::Truncated)
     }
@@ -288,6 +332,48 @@ impl<'a> Reader<'a> {
 }
 
 impl Frame {
+    /// The frames carrying record `rec` of `oroot` when no frame may
+    /// exceed `max_frame` bytes: one `Record` frame, or — for a PMO whose
+    /// manifest does not fit — a `Record` frame with the manifest's head
+    /// followed by `Manifest` continuations. Records that are too large
+    /// for another reason (or a `max_frame` too small for any manifest
+    /// entry) are returned whole; the ring then refuses them as too large.
+    pub fn record_frames(oroot: u64, rec: WireRecord, max_frame: usize) -> Vec<Frame> {
+        let whole = Frame::Record { oroot, rec };
+        let len = whole.encode().len();
+        let Frame::Record { rec: WireRecord::Pmo { npages, eternal, synced_tick, pages }, .. } =
+            &whole
+        else {
+            return vec![whole];
+        };
+        let head_fixed = len - pages.len() * MANIFEST_ENTRY;
+        if len <= max_frame || max_frame < head_fixed.max(MANIFEST_HEADER) + MANIFEST_ENTRY {
+            return vec![whole];
+        }
+        let head = (max_frame - head_fixed) / MANIFEST_ENTRY;
+        let per = (max_frame - MANIFEST_HEADER) / MANIFEST_ENTRY;
+        let mut frames = vec![Frame::Record {
+            oroot,
+            rec: WireRecord::Pmo {
+                npages: *npages,
+                eternal: *eternal,
+                synced_tick: *synced_tick,
+                pages: pages[..head].to_vec(),
+            },
+        }];
+        let mut start = head;
+        while start < pages.len() {
+            let end = (start + per).min(pages.len());
+            frames.push(Frame::Manifest {
+                oroot,
+                start: start as u32,
+                pages: pages[start..end].to_vec(),
+            });
+            start = end;
+        }
+        frames
+    }
+
     /// Serializes the frame.
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(64);
@@ -304,6 +390,13 @@ impl Frame {
                 b.push(T_RECORD);
                 put_u64(&mut b, *oroot);
                 rec.encode_into(&mut b);
+            }
+            Frame::Manifest { oroot, start, pages } => {
+                b.reserve(MANIFEST_HEADER + pages.len() * MANIFEST_ENTRY);
+                b.push(T_MANIFEST);
+                put_u64(&mut b, *oroot);
+                put_u32(&mut b, *start);
+                put_manifest(&mut b, pages);
             }
             Frame::Page { oroot, idx, version, crc, data } => {
                 b.reserve(4096 + 32);
@@ -366,6 +459,11 @@ impl Frame {
                 let oroot = r.u64()?;
                 let rec = WireRecord::decode_from(&mut r)?;
                 Frame::Record { oroot, rec }
+            }
+            T_MANIFEST => {
+                let oroot = r.u64()?;
+                let start = r.u32()?;
+                Frame::Manifest { oroot, start, pages: r.manifest()? }
             }
             T_PAGE => {
                 let oroot = r.u64()?;
@@ -475,12 +573,7 @@ impl WireRecord {
                 put_u64(b, *npages);
                 b.push(u8::from(*eternal));
                 put_u64(b, *synced_tick);
-                put_u32(b, pages.len() as u32);
-                for (idx, version, crc) in pages {
-                    put_u64(b, *idx);
-                    put_u64(b, *version);
-                    put_u32(b, *crc);
-                }
+                put_manifest(b, pages);
             }
             WireRecord::IpcConnection { recv_waiter, queue, replies } => {
                 b.push(R_IPC);
@@ -575,12 +668,7 @@ impl WireRecord {
                 let npages = r.u64()?;
                 let eternal = r.u8()? != 0;
                 let synced_tick = r.u64()?;
-                let n = r.u32()?;
-                let mut pages = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    pages.push((r.u64()?, r.u64()?, r.u32()?));
-                }
-                WireRecord::Pmo { npages, eternal, synced_tick, pages }
+                WireRecord::Pmo { npages, eternal, synced_tick, pages: r.manifest()? }
             }
             R_IPC => {
                 let recv_waiter = match r.u8()? {
@@ -669,6 +757,40 @@ mod tests {
         roundtrip(Frame::SnapCommit { epoch: 2, round: 9, root: 42 });
         roundtrip(Frame::Ack { epoch: 2, round: 9 });
         roundtrip(Frame::ResyncRequest { epoch: 2, applied_round: 4 });
+    }
+
+    #[test]
+    fn manifest_frame_roundtrips() {
+        roundtrip(Frame::Manifest { oroot: 5, start: 400, pages: vec![(400, 3, 7), (401, 0, 9)] });
+        roundtrip(Frame::Manifest { oroot: 5, start: 0, pages: vec![] });
+    }
+
+    #[test]
+    fn oversized_manifest_splits_into_fitting_frames_that_reassemble() {
+        let pages: Vec<(u64, u64, u32)> = (0..1000).map(|i| (i, i % 7, i as u32 * 31)).collect();
+        let rec = WireRecord::Pmo { npages: 1000, eternal: false, synced_tick: 4, pages };
+        for max_frame in [512, 8168, 16360] {
+            let frames = Frame::record_frames(9, rec.clone(), max_frame);
+            assert!(frames.len() > 1, "20 KB of manifest cannot fit {max_frame} B");
+            assert!(frames.iter().all(|f| f.encode().len() <= max_frame));
+            let mut merged = match &frames[0] {
+                Frame::Record { oroot: 9, rec: WireRecord::Pmo { pages, .. } } => pages.clone(),
+                f => panic!("head frame {f:?}"),
+            };
+            for f in &frames[1..] {
+                match f {
+                    Frame::Manifest { oroot: 9, start, pages } => {
+                        assert_eq!(*start as usize, merged.len());
+                        merged.extend_from_slice(pages);
+                    }
+                    f => panic!("continuation frame {f:?}"),
+                }
+            }
+            let WireRecord::Pmo { pages, .. } = &rec else { unreachable!() };
+            assert_eq!(&merged, pages);
+        }
+        // A record that fits stays one frame.
+        assert_eq!(Frame::record_frames(9, rec, 1 << 20).len(), 1);
     }
 
     #[test]
